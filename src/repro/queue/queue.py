@@ -15,7 +15,10 @@ would swap the directory primitives for conditional puts). Layout::
 from ``pending/`` into its own ``leases/<worker_id>/`` directory — rename
 either succeeds for exactly one contender or raises, so no lock manager is
 needed and two workers can never both hold the same job. Acking (after the
-result is stored) deletes the lease file; releasing renames it back.
+result is stored) deletes the lease file; releasing renames it back. Each
+:class:`JobQueue` walks a hash-ordered snapshot of ``pending/`` and lists
+the directory again only when the snapshot runs dry, so leasing a batch of
+N jobs costs O(N) renames plus a few listings, not N listings of N names.
 
 **Heartbeats.** Every worker rewrites its heartbeat file on a fixed
 cadence (a daemon thread in :class:`~repro.queue.worker.QueueWorker`, so a
@@ -44,6 +47,7 @@ import json
 import os
 import time
 import uuid
+from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,6 +61,22 @@ __all__ = ["JobQueue", "LeasedJob", "QueueStats", "DEFAULT_LEASE_TTL"]
 
 DEFAULT_LEASE_TTL = 60.0
 """Default seconds of heartbeat silence before a worker's leases requeue."""
+
+
+def _json_names(directory: Path) -> list[str]:
+    """The ``*.json`` entry names in ``directory``, sorted as strings.
+
+    The same names ``directory.glob("*.json")`` yields (a writer's
+    ``<name>.json.<pid>.<uuid>.tmp`` and quarantined ``.rejected`` specs
+    are not among them), from one ``listdir`` without building a ``Path``
+    per entry. A directory removed meanwhile (a reaped worker's) lists as
+    empty, as it globs.
+    """
+    try:
+        names = os.listdir(directory)
+    except FileNotFoundError:
+        return []
+    return sorted(name for name in names if name.endswith(".json"))
 
 
 @dataclass(frozen=True)
@@ -108,11 +128,14 @@ class JobQueue:
             self.store.root,
         ):
             directory.mkdir(parents=True, exist_ok=True)
+        # Spec names in pending/ this instance has listed but not yet
+        # tried to lease, in hash order (see lease()).
+        self._snapshot: deque[str] = deque()
 
     # ------------------------------------------------------------------ #
     # producing
     # ------------------------------------------------------------------ #
-    def enqueue(self, job: Job) -> bool:
+    def enqueue(self, job: Job, *, queued: set[str] | None = None) -> bool:
         """Make ``job`` available for leasing; returns False if redundant.
 
         Redundant means its result is already in the artifact store, or an
@@ -121,20 +144,31 @@ class JobQueue:
         yield one execution. The spec file is written atomically through a
         unique temp name; racing producers both "win" with identical
         content.
+
+        ``queued`` is the set of hashes pending or leased as of one listing
+        of ``pending/`` and every ``leases/*/`` (:meth:`enqueue_many` passes
+        its batch listing; None takes a fresh one); a newly enqueued hash
+        is added to it.
         """
         key = job.job_hash()
-        if (
-            self.store.contains(key)
-            or (self.pending_dir / f"{key}.json").exists()
-            or self._lease_paths(key)
-        ):
+        if queued is None:
+            queued = self._queued_hashes()
+        if key in queued or self.store.contains(key):
             return False
         self._write_spec(self.pending_dir / f"{key}.json", job)
+        queued.add(key)
         return True
 
     def enqueue_many(self, jobs: Iterable[Job]) -> int:
-        """Enqueue a batch; returns how many were newly enqueued."""
-        return sum(1 for job in jobs if self.enqueue(job))
+        """Enqueue a batch; returns how many were newly enqueued.
+
+        ``pending/`` and every ``leases/*/`` are listed once for the whole
+        batch. A spec another producer enqueues after that listing is
+        written again with identical content, the same benign race as two
+        concurrent :meth:`enqueue` calls.
+        """
+        queued = self._queued_hashes()
+        return sum(1 for job in jobs if self.enqueue(job, queued=queued))
 
     # ------------------------------------------------------------------ #
     # leasing
@@ -149,14 +183,25 @@ class JobQueue:
         Candidates are taken in hash order — deterministic across workers,
         which spreads contenders instead of having every worker fight over
         one file (each loser retries the next candidate).
+
+        Candidates come from a snapshot of ``pending/`` this instance keeps
+        between calls; the directory is listed again only when the snapshot
+        runs dry, and None means a fresh listing found nothing. A spec
+        enqueued or requeued after the snapshot was taken therefore waits
+        for the next listing, at most one pass over the snapshot.
         """
         worker_dir = self.leases_dir / self._safe_worker_id(worker_id)
         worker_dir.mkdir(parents=True, exist_ok=True)
         self.heartbeat(worker_id)
-        for candidate in sorted(self.pending_dir.glob("*.json")):
-            claimed = worker_dir / candidate.name
+        while True:
+            if not self._snapshot:
+                self._snapshot.extend(_json_names(self.pending_dir))
+                if not self._snapshot:
+                    return None
+            name = self._snapshot.popleft()
+            claimed = worker_dir / name
             try:
-                os.replace(candidate, claimed)
+                os.replace(self.pending_dir / name, claimed)
             except FileNotFoundError:
                 continue  # another worker won this rename; try the next
             try:
@@ -166,17 +211,16 @@ class JobQueue:
                 # of rotation with a .rejected suffix and keep leasing.
                 claimed.rename(claimed.with_suffix(".rejected"))
                 raise ExperimentError(
-                    f"queue spec {candidate.name} is malformed and was "
+                    f"queue spec {name} is malformed and was "
                     f"quarantined as {claimed.with_suffix('.rejected').name}: "
                     f"{exc}"
                 ) from exc
             return LeasedJob(
                 job=job,
-                job_hash=candidate.stem,
+                job_hash=claimed.stem,
                 worker_id=worker_id,
                 path=claimed,
             )
-        return None
 
     def ack(self, leased: LeasedJob) -> None:
         """Complete a lease: the result is stored, drop the spec file.
@@ -273,14 +317,16 @@ class JobQueue:
     # ------------------------------------------------------------------ #
     def pending_hashes(self) -> list[str]:
         """Hashes currently waiting to be leased (sorted)."""
-        return sorted(path.stem for path in self.pending_dir.glob("*.json"))
+        return [
+            name[: -len(".json")] for name in _json_names(self.pending_dir)
+        ]
 
     def leased_hashes(self) -> dict[str, list[str]]:
         """worker directory name → hashes it currently holds."""
         return {
-            worker_dir.name: sorted(
-                path.stem for path in worker_dir.glob("*.json")
-            )
+            worker_dir.name: [
+                name[: -len(".json")] for name in _json_names(worker_dir)
+            ]
             for worker_dir in sorted(self.leases_dir.iterdir())
             if worker_dir.is_dir()
         }
@@ -319,8 +365,12 @@ class JobQueue:
             )
         return text
 
-    def _lease_paths(self, job_hash: str) -> list[Path]:
-        return list(self.leases_dir.glob(f"*/{job_hash}.json"))
+    def _queued_hashes(self) -> set[str]:
+        """Hashes pending or leased anywhere, from one listing of each."""
+        queued = set(self.pending_hashes())
+        for held in self.leased_hashes().values():
+            queued.update(held)
+        return queued
 
     def _write_spec(self, path: Path, job: Job) -> None:
         temporary = path.with_name(

@@ -62,7 +62,10 @@ class _HeartbeatThread(threading.Thread):
 
     A daemon thread dies with the process — including under SIGKILL — so
     the beacon goes stale exactly when the worker actually stops, which is
-    the signal the reaper keys on.
+    the signal the reaper keys on. Its owner calls :meth:`stop` and then
+    ``join()`` on exit, so no beacon outlives the loop that started it.
+    (The event must not be named ``_stop``: ``threading.Thread`` calls its
+    own ``_stop()`` from ``join()`` and ``is_alive()``.)
     """
 
     def __init__(self, queue: JobQueue, worker_id: str, interval: float):
@@ -70,18 +73,18 @@ class _HeartbeatThread(threading.Thread):
         self._queue = queue
         self._worker_id = worker_id
         self._interval = interval
-        self._stop = threading.Event()
+        self._stopping = threading.Event()
 
     def run(self) -> None:
-        while not self._stop.is_set():
+        while not self._stopping.is_set():
             try:
                 self._queue.heartbeat(self._worker_id)
             except OSError:
                 pass  # a transiently unwritable beacon is not fatal
-            self._stop.wait(self._interval)
+            self._stopping.wait(self._interval)
 
     def stop(self) -> None:
-        self._stop.set()
+        self._stopping.set()
 
 
 class QueueWorker:
@@ -90,9 +93,10 @@ class QueueWorker:
     Execution is *at-least-once*, results are *exactly-once*: before
     running a leased job the worker checks the artifact store and, if the
     result is already there (another worker finished a reaped duplicate),
-    acks without executing. A job function that raises releases its lease
-    back to ``pending/`` and re-raises — the failure is visible on this
-    worker, and the job stays available for a retry elsewhere.
+    acks without executing. A job function or result write that raises
+    releases its lease back to ``pending/`` and re-raises — the failure is
+    visible on this worker, and the job stays available for a retry
+    elsewhere.
     """
 
     def __init__(
@@ -167,11 +171,18 @@ class QueueWorker:
                 self._execute(leased, stats)
         finally:
             beat.stop()
+            beat.join()
         return stats
 
-    def _execute(self, leased: LeasedJob, stats: WorkerStats) -> None:
+    def _execute(self, leased: LeasedJob, stats: WorkerStats) -> str:
+        """Complete one lease; returns the hash its result is stored under.
+
+        An absent result — the common case — costs one existence check;
+        only a present entry is read back (and verified) in full.
+        """
         store = self.queue.store
-        existing = store.get(leased.job)
+        key = leased.job.job_hash()
+        existing = store.get(leased.job) if store.contains(key) else None
         if existing is not None:
             # Exactly-once results: a duplicate execution (reaped slow
             # worker, double enqueue across queues) completes by ack alone.
@@ -180,16 +191,17 @@ class QueueWorker:
         else:
             try:
                 result = execute_job(leased.job, artifact_dir=store.root)
+                store.put(leased.job, result)
             except BaseException:
                 # Keep the job available for a retry by another worker;
                 # this worker surfaces the failure to its caller/CLI.
                 self.queue.release(leased)
                 raise
-            store.put(leased.job, result)
             self.queue.ack(leased)
             stats.executed += 1
         stats.completed += 1
         stats.hashes.append(leased.job_hash)
+        return key
 
     def _fleet_done(self) -> bool:
         if self.queue.pending_hashes():
@@ -284,7 +296,9 @@ class QueueScheduler:
                 pending[key].append(index)
                 self.job_sources[index] = "executed"
                 continue
-            artifact = store.get(job) if self.resume else None
+            artifact = (
+                store.get(job) if self.resume and store.contains(key) else None
+            )
             if artifact is not None:
                 results[index] = artifact.result
                 self.cache_hits += 1
@@ -300,7 +314,8 @@ class QueueScheduler:
             self.queue.enqueue_many(pending_jobs.values())
             if self.execute:
                 self._drain_inline(set(pending))
-            self._await_results(set(pending))
+            else:
+                self._await_results(set(pending))
         executed_locally = self.jobs_executed
         for key, indices in pending.items():
             artifact = store.get(pending_jobs[key])
@@ -330,6 +345,12 @@ class QueueScheduler:
         cooperating producer's jobs — because a shared queue has no "my
         jobs first" ordering; reaping before each lease keeps a dead
         external worker from stalling the batch for more than one TTL.
+
+        Completion is tracked incrementally: a batch hash is dropped from
+        ``remaining`` as soon as this worker stores (or dedupes) it, and
+        the store is asked about the rest only when the queue has nothing
+        to lease — which is also how jobs finished by other workers are
+        seen. Returns with every batch hash stored.
         """
         worker = QueueWorker(
             self.queue,
@@ -346,24 +367,29 @@ class QueueScheduler:
         )
         self.queue.heartbeat(self.worker_id)
         beat.start()
+        remaining = set(batch)
         try:
-            while self.queue.outstanding(sorted(batch)):
+            while remaining:
                 self.queue.reap()
                 leased = self.queue.lease(self.worker_id)
                 if leased is not None:
                     stats = WorkerStats()
-                    worker._execute(leased, stats)
+                    remaining.discard(worker._execute(leased, stats))
                     self.jobs_executed += stats.executed
                     continue
+                remaining = set(self.queue.outstanding(sorted(remaining)))
+                if not remaining:
+                    break
                 if deadline is not None and time.monotonic() >= deadline:
                     raise ExperimentError(
                         f"queue batch incomplete after wait_timeout="
                         f"{self.wait_timeout}s; outstanding: "
-                        f"{self.queue.outstanding(sorted(batch))}"
+                        f"{sorted(remaining)}"
                     )
                 time.sleep(self.poll_interval)
         finally:
             beat.stop()
+            beat.join()
 
     def _await_results(self, batch: set[str]) -> None:
         deadline = (
@@ -372,9 +398,11 @@ class QueueScheduler:
             else None
         )
         while True:
+            # Only jobs still missing at the last poll are checked again.
             outstanding = self.queue.outstanding(sorted(batch))
             if not outstanding:
                 return
+            batch = set(outstanding)
             if deadline is not None and time.monotonic() >= deadline:
                 raise ExperimentError(
                     f"queue batch incomplete after wait_timeout="

@@ -10,12 +10,19 @@ wall clock. The subprocess/SIGKILL end of kill-resume lives in
 ``test_queue_smoke.py``.
 """
 
+import errno
 import json
+import os
 import signal
+import threading
 import time
+import uuid
 
 import pytest
 
+import repro.queue.artifacts as artifacts_module
+import repro.queue.queue as queue_module
+import repro.queue.worker as worker_module
 from repro.core.stackelberg import StackelbergMarket
 from repro.entities.vmu import paper_fig2_population, sample_population
 from repro.errors import ExperimentError
@@ -81,6 +88,19 @@ def _drain(queue, worker_id="test-worker"):
     """Run one in-process worker until the queue is empty."""
     worker = QueueWorker(queue, worker_id=worker_id, poll_interval=0.01)
     return worker.run(drain=True)
+
+
+def _heartbeat_threads():
+    return [
+        thread
+        for thread in threading.enumerate()
+        if isinstance(thread, worker_module._HeartbeatThread)
+    ]
+
+
+def _stray_name(job_hash):
+    """The temp name a writer killed between write and rename leaves."""
+    return f"{job_hash}.json.{os.getpid()}.{uuid.uuid4().hex}.tmp"
 
 
 class TestJobQueue:
@@ -162,6 +182,64 @@ class TestJobQueue:
         remaining = queue.lease("w1")
         if remaining is not None:
             assert remaining.job_hash == good.job_hash()
+
+
+    def test_lease_relists_before_reporting_empty(self, tmp_path):
+        """A spec enqueued after the lease snapshot was taken is still
+        leased: None only comes after a fresh listing finds nothing."""
+        queue = JobQueue(tmp_path)
+        first, late = _cell_jobs(2)
+        queue.enqueue(first)
+        assert queue.lease("w1").job_hash == first.job_hash()
+        JobQueue(tmp_path).enqueue(late)  # another producer
+        assert queue.lease("w1").job_hash == late.job_hash()
+        assert queue.lease("w1") is None
+
+    def test_lease_takes_a_listing_in_hash_order(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        jobs = _cell_jobs(4)
+        queue.enqueue_many(jobs)
+        leased = [queue.lease("w1").job_hash for _ in jobs]
+        assert leased == sorted(job.job_hash() for job in jobs)
+
+    def test_lease_skips_snapshot_entries_taken_elsewhere(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        jobs = _cell_jobs(3)
+        queue.enqueue_many(jobs)
+        mine = queue.lease("w1")  # snapshot now holds the other two
+        theirs = JobQueue(tmp_path).lease("w2")
+        rest = queue.lease("w1")
+        assert queue.lease("w1") is None
+        assert {mine.job_hash, theirs.job_hash, rest.job_hash} == {
+            job.job_hash() for job in jobs
+        }
+
+    def test_enqueue_many_dedupes_against_one_listing(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        pending, leased, stored, fresh = _cell_jobs(4)
+        queue.enqueue(leased)
+        queue.lease("w1")
+        queue.enqueue(pending)
+        queue.store.put(stored, execute_job(stored))
+        batch = [pending, leased, stored, fresh, fresh]
+        assert queue.enqueue_many(batch) == 1
+        assert sorted(queue.pending_hashes()) == sorted(
+            [pending.job_hash(), fresh.job_hash()]
+        )
+
+    def test_json_listing_filters_as_glob_does(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        job = _cell_jobs(1)[0]
+        queue.enqueue(job)
+        key = job.job_hash()
+        (queue.pending_dir / _stray_name(key)).write_text("{")
+        (queue.pending_dir / f"{'1' * 64}.rejected").write_text("{}")
+        (queue.pending_dir / ".hidden.json").write_text("{}")
+        (queue.pending_dir / "nested.json").mkdir()
+        assert queue_module._json_names(queue.pending_dir) == sorted(
+            path.name for path in queue.pending_dir.glob("*.json")
+        )
+        assert queue_module._json_names(tmp_path / "missing") == []
 
 
 class TestHeartbeatsAndReaping:
@@ -251,6 +329,76 @@ class TestHeartbeatsAndReaping:
         assert stats.deduplicated == 1
         assert stats.executed == 0
         assert len(queue.store) == 1
+
+
+class TestHeartbeatThread:
+    def test_stopped_thread_joins_and_reports_dead(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        beat = worker_module._HeartbeatThread(queue, "w1", 0.01)
+        beat.start()
+        assert beat.is_alive()
+        beat.stop()
+        beat.join(timeout=10.0)
+        assert not beat.is_alive()
+        beat.join()  # joining a finished thread is a no-op
+        assert queue.heartbeat_age("w1") is not None
+
+    @pytest.fixture
+    def slow_to_exit(self, monkeypatch):
+        """Heartbeat threads that take a while to finish once stopped, so
+        only a join (not luck) clears them before their owner returns."""
+        original = worker_module._HeartbeatThread.run
+
+        def run_then_linger(thread):
+            original(thread)
+            time.sleep(0.2)
+
+        monkeypatch.setattr(
+            worker_module._HeartbeatThread, "run", run_then_linger
+        )
+
+    def test_no_heartbeat_thread_outlives_the_scheduler(
+        self, tmp_path, slow_to_exit
+    ):
+        assert _heartbeat_threads() == []
+        QueueScheduler(tmp_path, poll_interval=0.01).run(_cell_jobs(2))
+        assert _heartbeat_threads() == []
+
+    def test_no_heartbeat_thread_outlives_a_worker(
+        self, tmp_path, slow_to_exit
+    ):
+        queue = JobQueue(tmp_path)
+        queue.enqueue_many(_cell_jobs(2))
+        assert _drain(queue).executed == 2
+        assert _heartbeat_threads() == []
+
+
+class TestStoreFailure:
+    def test_failed_result_write_releases_the_lease(
+        self, tmp_path, monkeypatch
+    ):
+        """A result write that fails (a full disk) must hand the job back
+        to pending/ at once, not leave it leased until the TTL expires."""
+        queue = JobQueue(tmp_path)
+        job = _cell_jobs(1)[0]
+        queue.enqueue(job)
+
+        def disk_full(path, job, result):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+        monkeypatch.setattr(artifacts_module, "write_result_entry", disk_full)
+        worker = QueueWorker(queue, worker_id="w1", poll_interval=0.01)
+        with pytest.raises(OSError) as excinfo:
+            worker.run(max_jobs=1)
+        assert excinfo.value.errno == errno.ENOSPC
+        assert queue.pending_hashes() == [job.job_hash()]
+        assert queue.leased_hashes() == {"w1": []}
+        assert not queue.store.contains(job)
+        assert _heartbeat_threads() == []
+        # Once the disk has room again the job completes normally.
+        monkeypatch.undo()
+        assert _drain(queue).executed == 1
+        assert queue.store.get(job).result == execute_job(job)
 
 
 class TestSpecFilesRoundTrip:
@@ -477,6 +625,106 @@ class TestQueueScheduler:
         assert scheduler.cache_hits == 1
         assert scheduler.jobs_executed == 1
         assert scheduler.jobs_completed_elsewhere == 0
+
+    def test_inline_drain_bookkeeping_is_linear_in_jobs(
+        self, tmp_path, monkeypatch
+    ):
+        """Per job the drain makes a constant number of existence checks:
+        no rescan of the whole batch per loop, no listing per lease."""
+        count = 50
+        jobs = _cell_jobs(count)
+        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
+        calls = {"contains": 0, "outstanding": 0, "pending_listings": 0}
+
+        def spy(name, original, counts=lambda *args: True):
+            def wrapper(*args, **kwargs):
+                if counts(*args):
+                    calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            ArtifactStore, "contains",
+            spy("contains", ArtifactStore.contains),
+        )
+        monkeypatch.setattr(
+            JobQueue, "outstanding", spy("outstanding", JobQueue.outstanding)
+        )
+        monkeypatch.setattr(
+            queue_module, "_json_names",
+            spy(
+                "pending_listings",
+                queue_module._json_names,
+                lambda directory: directory == scheduler.queue.pending_dir,
+            ),
+        )
+        results = scheduler.run(jobs)
+        assert results == [execute_job(job) for job in jobs]
+        assert scheduler.jobs_executed == count
+        assert calls["contains"] <= 3 * count
+        assert calls["outstanding"] <= 2
+        assert calls["pending_listings"] <= 5
+
+    def test_batch_job_stored_elsewhere_mid_drain_is_seen(
+        self, tmp_path, monkeypatch
+    ):
+        """A batch job another worker leases and stores while the inline
+        drain runs still completes the drain, credited to the fleet."""
+        jobs = _cell_jobs(3)
+        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
+        real_execute = worker_module.execute_job
+        elsewhere = []
+
+        def execute_with_a_rival(job, artifact_dir=None):
+            if not elsewhere:
+                rival = JobQueue(tmp_path)
+                leased = rival.lease("rival")
+                rival.store.put(leased.job, real_execute(leased.job))
+                rival.ack(leased)
+                elsewhere.append(leased.job_hash)
+            return real_execute(job, artifact_dir=artifact_dir)
+
+        monkeypatch.setattr(worker_module, "execute_job", execute_with_a_rival)
+        results = scheduler.run(jobs)
+        assert results == [execute_job(job) for job in jobs]
+        assert len(elsewhere) == 1
+        assert elsewhere[0] in {job.job_hash() for job in jobs}
+        assert scheduler.jobs_executed == 3
+        assert scheduler.jobs_completed_elsewhere == 1
+        assert scheduler.queue.outstanding() == []
+
+    def test_stray_temp_files_are_never_leased(self, tmp_path):
+        """A killed writer's temp files in pending/ and results/, and a
+        quarantined spec, neither stall nor crash a drain."""
+        jobs = _cell_jobs(3)
+        scheduler = QueueScheduler(tmp_path, poll_interval=0.01)
+        queue = scheduler.queue
+        strays = [
+            queue.pending_dir / _stray_name(jobs[0].job_hash()),
+            queue.pending_dir / _stray_name(jobs[1].job_hash()),
+            queue.pending_dir / f"{jobs[2].job_hash()}.rejected",
+            queue.store.root / _stray_name(jobs[0].job_hash()),
+        ]
+        # A complete spec whose rename never happened, a torn spec, a
+        # quarantined spec, and a torn result entry.
+        strays[0].write_text(json.dumps(jobs[0].spec()))
+        strays[1].write_text('{"kind": "equilibrium_ce')
+        strays[2].write_text(json.dumps(jobs[2].spec()))
+        strays[3].write_text('{"job": {"kind"')
+        assert queue.lease("w1") is None
+        results = scheduler.run(jobs)
+        assert results == [execute_job(job) for job in jobs]
+        assert scheduler.jobs_executed == 3
+        assert all(stray.exists() for stray in strays)
+        assert queue.pending_hashes() == []
+        assert not list(queue.leases_dir.glob("*/*.tmp"))
+        assert not list(queue.leases_dir.glob("*/*.rejected"))
+        assert queue.store.hashes() == sorted(job.job_hash() for job in jobs)
+        for directory in (queue.pending_dir, queue.store.root):
+            assert queue_module._json_names(directory) == sorted(
+                path.name for path in directory.glob("*.json")
+            )
 
 
 class TestQueueSchedulerExperiments:
